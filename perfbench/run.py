@@ -58,14 +58,25 @@ def build(targets):
     for need in ("dune-project", os.path.join("lib", "rt"), os.path.join("lib", "rtnet")):
         if not os.path.exists(os.path.join(ROOT, need)):
             fail("not a Mely checkout: %s is missing under %s" % (need, ROOT))
-    dune = shutil.which("dune")
-    if dune is None:
-        fail("dune is not on PATH")
+    if shutil.which("dune"):
+        dune = ["dune"]
+    elif shutil.which("opam"):
+        dune = ["opam", "exec", "--", "dune"]
+    else:
+        fail("neither dune nor opam is on PATH")
     # --cache=disabled: dune's shared cache lives outside the checkout.
-    proc = subprocess.run([dune, "build", "--root", ".", "--cache=disabled"] + targets, cwd=ROOT,
-                          stdout=sys.stderr, stderr=sys.stderr, timeout=BUILD_TIMEOUT_S)
+    proc = subprocess.run(dune + ["build", "--root", ".", "--cache=disabled"] + targets,
+                          cwd=ROOT, stdout=sys.stderr, stderr=sys.stderr,
+                          timeout=BUILD_TIMEOUT_S)
     if proc.returncode != 0:
         fail("build failed", 1)
+
+
+def kill_group(pgid):
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
 
 
 def run_bench(workload, seed, seconds, trace, echo=True):
@@ -77,9 +88,11 @@ def run_bench(workload, seed, seconds, trace, echo=True):
     try:
         out, _ = proc.communicate(timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
+        kill_group(proc.pid)
         proc.communicate()
         fail("%s seed %d did not finish within %d s" % (workload, seed, RUN_TIMEOUT_S), 1)
+    # A run waits for its web clients; this only matters if it crashed.
+    kill_group(proc.pid)
     lines = out.strip().splitlines()
     if echo:
         for line in lines[:-1]:
