@@ -81,6 +81,9 @@ let run ~workload ~seed ~seconds ~traced =
   let cycle ~traced ~per ~lat ~agg =
     let setup_s, sut = set_up workload ~seed ~traced in
     let w = measure sut ~seconds:per ~lat ~agg in
+    (match Prom_text.sum w.Report.after.Probe.prom "mely_runtime_errors_total" with
+    | 0. -> ()
+    | n -> errors := !errors @ [ Printf.sprintf "%.0f handlers raised" n ]);
     finish sut;
     (setup_s, w)
   in

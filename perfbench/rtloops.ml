@@ -75,8 +75,11 @@ type loop = {
 let stamp_at l s id j t =
   match l.st with
   | Some st when l.in_window.(s) ->
+    (* [in_window] may already describe the slot's next op when a
+       handler stamps after its register call returns; an op from
+       before the window then has [i < 0]. *)
     let i = id - Atomic.get l.base in
-    if i < trace_cap then st.((i * stride l.shape) + j) <- t
+    if i >= 0 && i < trace_cap then st.((i * stride l.shape) + j) <- t
   | _ -> ()
 
 let stamp l s id j =
