@@ -2,6 +2,7 @@
 
      bench.exe run --workload W --seed N --seconds S --trace 0|1
      bench.exe client SEED        (the web client, spawned by a run)
+     bench.exe pong               (the echo end of {!Probe.host_wake_us})
 
    A run is a series of cycles. Each cycle sets a fresh runtime up
    (create, start, a fixed-count warm-up: the timed set-up), measures a
@@ -68,7 +69,7 @@ let run ~workload ~seed ~seconds ~traced =
   let out_dir = ".perfbench-out" in
   if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
   let spans_out = Filename.concat out_dir (workload ^ "-spans.tsv") in
-  let probe_before = Probe.host_probe_ms () in
+  let probe_before = Probe.host_probe_ms () and wake_before = Probe.host_wake_us () in
   let errors = ref [] in
   (* Garbage of a finished cycle must not raise the next one's peak
      memory. *)
@@ -130,6 +131,8 @@ let run ~workload ~seed ~seconds ~traced =
     @ [
         ("host.probe_ms_before", probe_before, "ms");
         ("host.probe_ms_after", Probe.host_probe_ms (), "ms");
+        ("host.wake_us_before", wake_before, "us");
+        ("host.wake_us_after", Probe.host_wake_us (), "us");
       ]
   in
   List.iter
@@ -148,6 +151,7 @@ let run ~workload ~seed ~seconds ~traced =
 let () =
   match Array.to_list Sys.argv with
   | [ _; "client"; seed ] -> Webclient.main (int_of_string seed)
+  | [ _; "pong" ] -> Probe.pong ()
   | _ :: "run" :: args ->
     let workload = ref "" and seed = ref 1 and seconds = ref 10. and trace = ref 0 in
     Arg.parse_argv ~current:(ref 0)

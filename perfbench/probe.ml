@@ -51,6 +51,43 @@ let host_probe_ms () =
   in
   List.fold_left min infinity [ once (); once (); once () ]
 
+(* Microseconds per one-byte round trip between this process and a
+   child ([exe pong], see {!pong}) over two pipes, median of five
+   60 ms rounds: the host's wake-up and system-call speed. The CPU loop
+   above does not see it; the web workload follows it. *)
+let host_wake_us () =
+  let req_r, req_w = Unix.pipe ~cloexec:true () in
+  let rep_r, rep_w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process Sys.executable_name [| Sys.executable_name; "pong" |] req_r rep_w
+      Unix.stderr
+  in
+  Unix.close req_r;
+  Unix.close rep_w;
+  let b = Bytes.make 1 'x' in
+  let round () =
+    let t0 = now () and n = ref 0 in
+    while now () - t0 < 60_000_000 do
+      ignore (Unix.write req_w b 0 1);
+      ignore (Unix.read rep_r b 0 1);
+      incr n
+    done;
+    float_of_int (now () - t0) /. 1e3 /. float_of_int !n
+  in
+  let rounds = Array.init 5 (fun _ -> round ()) in
+  Unix.close req_w;
+  ignore (Unix.waitpid [] pid);
+  Unix.close rep_r;
+  Array.sort compare rounds;
+  rounds.(2)
+
+(* The child of {!host_wake_us}: echo each byte until end of input. *)
+let pong () =
+  let b = Bytes.create 1 in
+  while Unix.read Unix.stdin b 0 1 = 1 do
+    ignore (Unix.write Unix.stdout b 0 1)
+  done
+
 (* Counters of the system under test, read at the edges of the
    measured window. Runtime counters come from the stable scalar
    accessors and from the Prometheus exposition. *)

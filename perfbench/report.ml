@@ -1,9 +1,9 @@
 (* What the measured windows of one run yield, and the metrics derived
    from them: the end-to-end set (tracing off) and the per-layer set
    (traced windows). A run measures several short windows, each on a
-   freshly set-up runtime, and pools them: on a 2-vCPU host a runtime
-   settles into one of a few thread placements for its whole life, and
-   pooling several averages over them. *)
+   freshly set-up runtime, and pools them: the windows of one run follow
+   the host's drift (README.md, "Noise, spread and bounds"), and pooling
+   averages over them. *)
 
 (* Span statistics of the traced windows, aggregated op by op so only
    the durations and self times survive, not the spans. The first

@@ -245,6 +245,25 @@ let inputs shape seed =
 
 let trace_config = { Rt.Trace.default_config with Rt.Trace.histograms = false }
 
+(* The runtime invariants every workload checks at teardown, with the
+   runtime idle: the conservation audit after [quiesce], then [stop];
+   one handler per color at a time; in traced runs the replay
+   checkers. Returns the violations. *)
+let check_runtime rt =
+  let errs = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
+  Rt.Runtime.quiesce rt;
+  Option.iter (fail "conservation audit: %s") (Rt.Runtime.debug_check_conservation rt);
+  Rt.Runtime.stop rt;
+  if Rt.Runtime.max_concurrent_same_color rt <> 1 then
+    fail "max_concurrent_same_color = %d" (Rt.Runtime.max_concurrent_same_color rt);
+  (match Rt.Runtime.trace rt with
+  | None -> ()
+  | Some tr ->
+    if Rt.Trace.check_mutual_exclusion tr <> None then fail "trace: same-color overlap";
+    if Rt.Trace.check_fifo_per_color tr <> None then fail "trace: FIFO violated");
+  List.rev !errs
+
 let create shape ~seed ~traced =
   let colors, work = inputs shape seed in
   let rt =
@@ -391,9 +410,7 @@ let measure l ~seconds ~lat ~agg =
 let teardown l =
   let errs = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
-  Rt.Runtime.quiesce l.rt;
-  Option.iter (fail "conservation audit: %s") (Rt.Runtime.debug_check_conservation l.rt);
-  Rt.Runtime.stop l.rt;
+  errs := List.rev (check_runtime l.rt);
   (* Every op's events are counted by construction: one per skew op,
      [stages] per chain request (the stage-order check below proves
      each one ran). *)
@@ -407,14 +424,7 @@ let teardown l =
     fail "attempts %d <> executed %d + pending %d + refused %d + abandoned %d" attempts
       executed pending refused abandoned;
   if executed <> attempts then fail "executed %d of %d events" executed attempts;
-  if Rt.Runtime.max_concurrent_same_color l.rt <> 1 then
-    fail "max_concurrent_same_color = %d" (Rt.Runtime.max_concurrent_same_color l.rt);
   if Atomic.get l.broken > 0 then fail "%d ops ran out of order or twice" (Atomic.get l.broken);
   if Atomic.get l.completed <> ops then fail "%d completions for %d ops" (Atomic.get l.completed) ops;
   if Array.exists (fun a -> Atomic.get a <> -1) l.state then fail "an op never completed";
-  (match Rt.Runtime.trace l.rt with
-  | None -> ()
-  | Some tr ->
-    if Rt.Trace.check_mutual_exclusion tr <> None then fail "trace: same-color overlap";
-    if Rt.Trace.check_fifo_per_color tr <> None then fail "trace: FIFO violated");
   List.rev !errs

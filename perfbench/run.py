@@ -11,8 +11,10 @@ metrics with --trace 0, the per-layer metrics with --trace 1).
 
 Spread report: `--repeat N` runs N seeds (seed, seed+1, ...) and prints,
 for each metric, the median, quartiles, min, max and IQR/median, and
-each run's diagnostics. `--workload all` covers every workload and
-prints each metric as <workload>/<metric> with its unit.
+each run's diagnostics. `--sets K` repeats that K times, one set after
+the other, and compares the sets' medians against the bounds in
+BENCHMARK.json. `--workload all` covers every workload and prints each
+metric as <workload>/<metric> with its unit.
 
 `--selftest` runs the benchmark's unit tests and a short run of each
 workload with tracing off and on.
@@ -121,40 +123,87 @@ def contract(args):
     sys.exit(0 if correct else 1)
 
 
+def quartiles(vals):
+    med = statistics.median(vals)
+    q1, _, q3 = statistics.quantiles(vals, n=4) if len(vals) > 1 else (med, med, med)
+    return med, q1, q3
+
+
+def bounds():
+    """End-to-end metric -> (better, bound) from BENCHMARK.json, if present."""
+    spec = os.path.join(ROOT, "BENCHMARK.json")
+    if not os.path.exists(spec):
+        return {}
+    with open(spec) as f:
+        return {m["name"]: (m["better"], m["bound"]) for m in json.load(f)["end_to_end"]}
+
+
 def spread(args):
+    """--repeat N runs per workload and set; --sets K sets one after the
+    other (set j uses seeds seed + j*N ... seed + j*N + N-1), so the
+    sets see the host at different times, as two benchmark sessions
+    would."""
     workloads = WORKLOADS if args.workload == "all" else [args.workload]
     names = PER_LAYER if args.trace else END_TO_END
     rc = 0
-    for w in workloads:
-        runs = []
-        for i in range(args.repeat):
-            seed = args.seed + i
-            t = time.monotonic()
-            res, code = run_bench(w, seed, args.seconds, args.trace, echo=False)
-            if res is None or code != 0 or not res["correct"]:
-                print("%s seed %d FAILED: %s" % (w, seed, res and res.get("errors")))
-                rc = 1
+    sets = {w: [] for w in workloads}
+    for j in range(args.sets):
+        for w in workloads:
+            runs = []
+            for i in range(args.repeat):
+                seed = args.seed + j * args.repeat + i
+                t = time.monotonic()
+                res, code = run_bench(w, seed, args.seconds, args.trace, echo=False)
+                if res is None or code != 0 or not res["correct"]:
+                    print("%s seed %d FAILED: %s" % (w, seed, res and res.get("errors")))
+                    rc = 1
+                    continue
+                runs.append((seed, time.monotonic() - t, res))
+            if not runs:
                 continue
-            runs.append((seed, time.monotonic() - t, res))
-        if not runs:
-            continue
-        print("\n%s: %d runs, --seconds %s --trace %d" % (w, len(runs), args.seconds, args.trace))
-        print("%-36s %12s %12s %12s %12s %12s %8s  unit" %
-              ("metric", "median", "q1", "q3", "min", "max", "iqr/med"))
-        for n in names:
-            vals = [r["metrics"][n]["value"] for _, _, r in runs]
-            unit = runs[0][2]["metrics"][n]["unit"]
-            med = statistics.median(vals)
-            q1, _, q3 = statistics.quantiles(vals, n=4) if len(vals) > 1 else (med, med, med)
-            iqr = (q3 - q1) / abs(med) if med else 0.0
-            print("%-36s %12.6g %12.6g %12.6g %12.6g %12.6g %7.2f%%  %s" %
-                  (w + "/" + n, med, q1, q3, min(vals), max(vals), 100 * iqr, unit))
-        diag = list(runs[0][2]["diagnostics"])
-        print("per-run diagnostics:")
-        print("  seed  wall_s  " + "  ".join(diag))
-        for seed, wall, r in runs:
-            print("  %4d  %6.1f  " % (seed, wall) + "  ".join(
-                "%.6g" % r["diagnostics"][d]["value"] for d in diag))
+            sets[w].append(runs)
+            print("\n%s set %d: %d runs, --seconds %s --trace %d" %
+                  (w, j + 1, len(runs), args.seconds, args.trace))
+            print("%-36s %12s %12s %12s %12s %12s %8s  unit" %
+                  ("metric", "median", "q1", "q3", "min", "max", "iqr/med"))
+            for n in names:
+                vals = [r["metrics"][n]["value"] for _, _, r in runs]
+                unit = runs[0][2]["metrics"][n]["unit"]
+                med, q1, q3 = quartiles(vals)
+                iqr = (q3 - q1) / abs(med) if med else 0.0
+                print("%-36s %12.6g %12.6g %12.6g %12.6g %12.6g %7.2f%%  %s" %
+                      (w + "/" + n, med, q1, q3, min(vals), max(vals), 100 * iqr, unit))
+            diag = list(runs[0][2]["diagnostics"])
+            print("per-run diagnostics:")
+            print("  seed  wall_s  " + "  ".join(diag))
+            for seed, wall, r in runs:
+                print("  %4d  %6.1f  " % (seed, wall) + "  ".join(
+                    "%.6g" % r["diagnostics"][d]["value"] for d in diag))
+            sys.stdout.flush()
+    if args.sets > 1 and not args.trace:
+        # The acceptance check on a benchmark: within each set, IQR/median
+        # under the bound (setup_s exempt); across sets, no set's median
+        # worse than another's by more than the bound.
+        bnd = bounds()
+        print("\nacross %d sets: per-set median (IQR/median); worst shift = the largest"
+              " move in the worse direction between any two sets" % args.sets)
+        for w in workloads:
+            for n in names:
+                if n not in bnd or len(sets[w]) < 2:
+                    continue
+                better, bound = bnd[n]
+                meds, iqrs = [], []
+                for runs in sets[w]:
+                    med, q1, q3 = quartiles([r["metrics"][n]["value"] for _, _, r in runs])
+                    meds.append(med)
+                    iqrs.append((q3 - q1) / abs(med) if med else 0.0)
+                worst = max(((b - a) if better == "lower" else (a - b)) / abs(a) if a else 0.0
+                            for a in meds for b in meds)
+                over = worst > bound or (n != "setup_s" and max(iqrs) > bound)
+                print("%-36s %s  worst %+6.1f%%  bound %4.0f%%  %s" % (
+                    w + "/" + n,
+                    "  ".join("%10.5g (%4.1f%%)" % (m, 100 * q) for m, q in zip(meds, iqrs)),
+                    100 * worst, 100 * bound, "OVER" if over else "ok"))
     sys.exit(rc)
 
 
@@ -198,6 +247,7 @@ def main():
     p.add_argument("--seconds", type=float, default=10)
     p.add_argument("--trace", type=int, choices=[0, 1], default=0)
     p.add_argument("--repeat", type=int, default=0)
+    p.add_argument("--sets", type=int, default=1)
     p.add_argument("--selftest", action="store_true")
     args = p.parse_args()
     if args.selftest:
@@ -205,7 +255,7 @@ def main():
     if args.workload is None:
         p.error("--workload is required")
     build(["./perfbench/bench.exe"])
-    if args.repeat or args.workload == "all":
+    if args.repeat or args.sets > 1 or args.workload == "all":
         args.repeat = max(1, args.repeat)
         spread(args)
     contract(args)

@@ -34,7 +34,8 @@ let quit_client c =
      Marshal.to_channel c.oc Webclient.Quit [];
      close_out c.oc
    with Sys_error _ -> ());
-  ignore (Unix.waitpid [] c.pid)
+  ignore (Unix.waitpid [] c.pid);
+  close_in c.ic
 
 (* App-entry and app-exit stamps per request id, written by the worker
    that runs the request. *)
@@ -150,19 +151,10 @@ let teardown sut =
   if s.reqs_failed + s.reqs_malformed + s.reqs_shed + s.conns_failed > 0 then
     fail "server failures: %d failed, %d malformed, %d shed, %d conns" s.reqs_failed
       s.reqs_malformed s.reqs_shed s.conns_failed;
-  Rt.Runtime.quiesce sut.rt;
-  Option.iter (fail "conservation audit: %s") (Rt.Runtime.debug_check_conservation sut.rt);
-  Rt.Runtime.stop sut.rt;
+  errs := List.rev_append (Rtloops.check_runtime sut.rt) !errs;
   if Rt.Runtime.pending sut.rt + Rt.Runtime.refused sut.rt + Rt.Runtime.abandoned sut.rt > 0
   then
     fail "runtime left pending %d, refused %d, abandoned %d" (Rt.Runtime.pending sut.rt)
       (Rt.Runtime.refused sut.rt) (Rt.Runtime.abandoned sut.rt);
   quit_client sut.client;
-  if Rt.Runtime.max_concurrent_same_color sut.rt <> 1 then
-    fail "max_concurrent_same_color = %d" (Rt.Runtime.max_concurrent_same_color sut.rt);
-  (match Rt.Runtime.trace sut.rt with
-  | None -> ()
-  | Some tr ->
-    if Rt.Trace.check_mutual_exclusion tr <> None then fail "trace: same-color overlap";
-    if Rt.Trace.check_fifo_per_color tr <> None then fail "trace: FIFO violated");
   List.rev !errs
