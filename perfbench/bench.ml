@@ -27,8 +27,7 @@ type sut = Web of Web.sut | Loop of Rtloops.loop
 
 let set_up workload ~seed ~traced =
   (* The web client is a fresh process per cycle, spawned before the
-     clock starts: a process keeps its thread placement, so a client
-     shared by all cycles would give them one placement. *)
+     clock starts, so no cycle inherits another's client. *)
   let client = if workload = "web_pipelined" then Some (Web.spawn_client ~seed) else None in
   let t0 = Probe.now () in
   let warm_ops = warm_ops workload in
