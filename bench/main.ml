@@ -143,19 +143,19 @@ type rt_bench_result = {
   rb_latencies : Rt.Trace.latency list;  (** empty when tracing was off *)
 }
 
+let total_parks rt =
+  Array.fold_left
+    (fun acc (w : Rt.Telemetry.worker_snap) -> acc + w.w_parks)
+    0 (Rt.Runtime.telemetry_snapshot rt).s_workers
+
 let rt_result ~name ~workers ~seconds rt =
-  let parks =
-    Array.fold_left
-      (fun acc (s : Rt.Metrics.snapshot) -> acc + s.parks)
-      0 (Rt.Runtime.stats rt)
-  in
   {
     rb_name = name;
     rb_workers = workers;
     rb_events = Rt.Runtime.executed rt;
     rb_seconds = seconds;
     rb_steals = Rt.Runtime.steals rt;
-    rb_parks = parks;
+    rb_parks = total_parks rt;
     rb_latencies =
       (match Rt.Runtime.trace rt with
       | Some tr -> Rt.Trace.latency_summary tr
@@ -424,11 +424,7 @@ let bench_rt_sharded_serve ?(scrape = false) ~workers () =
   Atomic.set stop_scraper true;
   Option.iter Domain.join scraper;
   Rtnet.Server.stop server;
-  let parks =
-    Array.fold_left
-      (fun acc (s : Rt.Metrics.snapshot) -> acc + s.parks)
-      0 (Rt.Runtime.stats rt)
-  in
+  let parks = total_parks rt in
   let steals = Rt.Runtime.steals rt in
   Rt.Runtime.stop rt;
   if res.Rtnet.Loadgen.mismatches > 0 || res.Rtnet.Loadgen.failed_conns > 0 then

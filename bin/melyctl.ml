@@ -26,23 +26,27 @@ let run_all ~quick =
 
 (* Shared rendering for the rt subcommands: the run summary and the
    per-worker stats, all through Mstd.Table / Mstd.Units so columns
-   align and durations carry their natural unit. *)
-let print_rt_summary rt ~workers ~seconds =
+   align and durations carry their natural unit. Every table reads one
+   telemetry snapshot — the same data the admin endpoint serves — so
+   the SIGINT path and the --duration path of [rt serve] print
+   identical books. *)
+let print_rt_summary (snap : Rt.Telemetry.snapshot) rt ~workers ~seconds =
   let table = Mstd.Table.create ~headers:[ "total"; "value" ] in
   let add k v = Mstd.Table.add_row table [ k; v ] in
-  add "executed" (string_of_int (Rt.Runtime.executed rt));
+  add "executed" (string_of_int snap.Rt.Telemetry.s_executed);
   add "workers" (string_of_int workers);
   add "wall time" (Mstd.Units.seconds seconds);
   add "throughput"
     (Printf.sprintf "%sK ev/s"
-       (Mstd.Units.kevents_per_sec (float_of_int (Rt.Runtime.executed rt) /. seconds)));
-  add "steals" (string_of_int (Rt.Runtime.steals rt));
-  add "steal rounds" (string_of_int (Rt.Runtime.steal_attempts rt));
+       (Mstd.Units.kevents_per_sec
+          (float_of_int snap.Rt.Telemetry.s_executed /. seconds)));
+  add "steals" (string_of_int snap.Rt.Telemetry.s_steals);
+  add "steal rounds" (string_of_int snap.Rt.Telemetry.s_steal_attempts);
   add "max same-color" (string_of_int (Rt.Runtime.max_concurrent_same_color rt));
-  add "handler errors" (string_of_int (Rt.Runtime.errors rt));
+  add "handler errors" (string_of_int snap.Rt.Telemetry.s_errors);
   print_string (Mstd.Table.render table)
 
-let print_rt_stats rt =
+let print_rt_stats (snap : Rt.Telemetry.snapshot) =
   let table =
     Mstd.Table.create
       ~headers:
@@ -52,26 +56,26 @@ let print_rt_stats rt =
           "last error";
         ]
   in
-  Array.iteri
-    (fun w (s : Rt.Metrics.snapshot) ->
+  Array.iter
+    (fun (w : Rt.Telemetry.worker_snap) ->
       Mstd.Table.add_row table
         [
-          string_of_int w;
-          string_of_int s.executed;
-          string_of_int s.enqueued;
-          string_of_int s.steals_in;
-          string_of_int s.steals_out;
-          string_of_int s.failed_attempts;
-          string_of_int s.visits;
-          string_of_int s.parks;
-          Mstd.Units.seconds s.park_seconds;
-          string_of_int s.queue_hwm;
-          string_of_int s.sheds;
-          string_of_int s.evictions;
-          string_of_int s.errors;
-          (match s.last_error with None -> "-" | Some (h, _) -> h);
+          string_of_int w.w_id;
+          string_of_int w.w_executed;
+          string_of_int w.w_enqueued;
+          string_of_int w.w_steals_in;
+          string_of_int w.w_steals_out;
+          string_of_int w.w_failed_rounds;
+          string_of_int w.w_visits;
+          string_of_int w.w_parks;
+          Mstd.Units.seconds (float_of_int w.w_park_ns /. 1e9);
+          string_of_int w.w_queue_hwm;
+          string_of_int w.w_sheds;
+          string_of_int w.w_evictions;
+          string_of_int w.w_errors;
+          (match w.w_last_error with None -> "-" | Some (h, _) -> h);
         ])
-    (Rt.Runtime.stats rt);
+    snap.s_workers;
   print_string (Mstd.Table.render table)
 
 let print_rt_latencies tr =
@@ -174,8 +178,9 @@ let run_rt workers events serve inject_rate duration =
       Rt.Clock.elapsed_seconds ~since:t0
     end
   in
-  print_rt_summary rt ~workers ~seconds:dt;
-  print_rt_stats rt;
+  let snap = Rt.Runtime.telemetry_snapshot rt in
+  print_rt_summary snap rt ~workers ~seconds:dt;
+  print_rt_stats snap;
   flush stdout;
   0
 
@@ -221,8 +226,9 @@ let run_rt_trace workers events trace_out trace_cap histograms =
   let t0 = Rt.Clock.now_ns () in
   Rt.Runtime.run_until_idle rt;
   let seconds = Rt.Clock.elapsed_seconds ~since:t0 in
-  print_rt_summary rt ~workers ~seconds;
-  print_rt_stats rt;
+  let snap = Rt.Runtime.telemetry_snapshot rt in
+  print_rt_summary snap rt ~workers ~seconds;
+  print_rt_stats snap;
   let tr = Option.get (Rt.Runtime.trace rt) in
   if histograms then print_rt_latencies tr;
   let retained =
@@ -258,25 +264,6 @@ let run_rt_trace workers events trace_out trace_cap histograms =
   flush stdout;
   status
 
-(* Exit reporting for [rt serve] is sourced from one final telemetry
-   snapshot — the same data the admin endpoint serves — so the SIGINT
-   path and the --duration path print identical books. *)
-let print_rt_summary_snap (snap : Rt.Telemetry.snapshot) rt ~workers ~seconds =
-  let table = Mstd.Table.create ~headers:[ "total"; "value" ] in
-  let add k v = Mstd.Table.add_row table [ k; v ] in
-  add "executed" (string_of_int snap.Rt.Telemetry.s_executed);
-  add "workers" (string_of_int workers);
-  add "wall time" (Mstd.Units.seconds seconds);
-  add "throughput"
-    (Printf.sprintf "%sK ev/s"
-       (Mstd.Units.kevents_per_sec
-          (float_of_int snap.Rt.Telemetry.s_executed /. seconds)));
-  add "steals" (string_of_int snap.Rt.Telemetry.s_steals);
-  add "steal rounds" (string_of_int snap.Rt.Telemetry.s_steal_attempts);
-  add "max same-color" (string_of_int (Rt.Runtime.max_concurrent_same_color rt));
-  add "handler errors" (string_of_int snap.Rt.Telemetry.s_errors);
-  print_string (Mstd.Table.render table)
-
 let print_rt_stats_snap (snap : Rt.Telemetry.snapshot) =
   let table =
     Mstd.Table.create
@@ -289,24 +276,23 @@ let print_rt_stats_snap (snap : Rt.Telemetry.snapshot) =
   in
   Array.iter
     (fun (w : Rt.Telemetry.worker_snap) ->
-      let m = w.Rt.Telemetry.w_metrics in
       Mstd.Table.add_row table
         [
           string_of_int w.Rt.Telemetry.w_id;
-          string_of_int m.Rt.Metrics.executed;
-          string_of_int m.Rt.Metrics.steals_in;
-          string_of_int m.Rt.Metrics.steals_out;
-          string_of_int m.Rt.Metrics.parks;
-          Mstd.Units.seconds m.Rt.Metrics.park_seconds;
+          string_of_int w.Rt.Telemetry.w_executed;
+          string_of_int w.Rt.Telemetry.w_steals_in;
+          string_of_int w.Rt.Telemetry.w_steals_out;
+          string_of_int w.Rt.Telemetry.w_parks;
+          Mstd.Units.seconds (float_of_int w.Rt.Telemetry.w_park_ns /. 1e9);
           Mstd.Units.duration_ns (float_of_int w.Rt.Telemetry.w_service_sum_ns);
           string_of_int w.Rt.Telemetry.w_inbox_depth;
           Mstd.Units.duration_ns (Mstd.Histogram.quantile w.Rt.Telemetry.w_qwait 0.5);
           Mstd.Units.duration_ns (Mstd.Histogram.quantile w.Rt.Telemetry.w_qwait 0.99);
           Mstd.Units.duration_ns
             (Mstd.Histogram.quantile w.Rt.Telemetry.w_service 0.99);
-          string_of_int m.Rt.Metrics.sheds;
-          string_of_int m.Rt.Metrics.evictions;
-          string_of_int m.Rt.Metrics.errors;
+          string_of_int w.Rt.Telemetry.w_sheds;
+          string_of_int w.Rt.Telemetry.w_evictions;
+          string_of_int w.Rt.Telemetry.w_errors;
         ])
     snap.Rt.Telemetry.s_workers;
   print_string (Mstd.Table.render table)
@@ -444,7 +430,7 @@ let run_rt_serve workers shards port max_clients duration files file_bytes trace
         ])
     shard_stats;
   print_string (Mstd.Table.render st);
-  print_rt_summary_snap snap rt ~workers ~seconds;
+  print_rt_summary snap rt ~workers ~seconds;
   print_rt_stats_snap snap;
   let tr = Option.get (Rt.Runtime.trace rt) in
   print_rt_latencies tr;
@@ -458,22 +444,15 @@ let run_rt_serve workers shards port max_clients duration files file_bytes trace
             ss.Rtnet.Server.conns_accepted <> ss.Rtnet.Server.conns_closed)
           shard_stats
       in
-      let tele_exec =
-        Array.fold_left
-          (fun acc (w : Rt.Telemetry.worker_snap) ->
-            acc + w.Rt.Telemetry.w_metrics.Rt.Metrics.executed)
-          0 snap.Rt.Telemetry.s_workers
-      in
+      (* [s_executed] is the per-worker sum by construction, so the
+         histogram count is the independent side of the identity. *)
       let tele_hist =
         Array.fold_left
           (fun acc (w : Rt.Telemetry.worker_snap) ->
             acc + Mstd.Histogram.count w.Rt.Telemetry.w_qwait)
           0 snap.Rt.Telemetry.s_workers
       in
-      let tele_bad =
-        tele_exec <> snap.Rt.Telemetry.s_executed
-        || tele_hist <> snap.Rt.Telemetry.s_executed
-      in
+      let tele_bad = tele_hist <> snap.Rt.Telemetry.s_executed in
       if Rtnet.Server.ownership_violations server > 0 then begin
         Printf.eprintf "fd ownership violation: %d cross-shard fd touches\n"
           (Rtnet.Server.ownership_violations server);
@@ -485,9 +464,8 @@ let run_rt_serve workers shards port max_clients duration files file_bytes trace
       end
       else if tele_bad then begin
         Printf.eprintf
-          "telemetry conservation violation: executed %d, per-worker sum %d, \
-           histogram count %d\n"
-          snap.Rt.Telemetry.s_executed tele_exec tele_hist;
+          "telemetry conservation violation: executed %d, histogram count %d\n"
+          snap.Rt.Telemetry.s_executed tele_hist;
         1
       end
       else if s.Rtnet.Server.conns_accepted = s.Rtnet.Server.conns_closed then begin

@@ -122,10 +122,10 @@ type worker_state = {
   mutable probe_rounds : int;  (** steal rounds since creation; owner-private *)
   mutable lat_victims : int list;
       (** locality order re-ranked by probe cost; owner-private cache *)
-  metrics : Metrics.t;
+  tel : Telemetry.shard;  (** this slot's shard of the stats plane *)
   (* --- supervision state (one slot per worker; the slot survives the
-     domain, so a replacement inherits metrics/telemetry/trace shards
-     and stays the single writer — at most one live domain ever runs a
+     domain, so a replacement inherits the telemetry/trace shards and
+     stays the single writer — at most one live domain ever runs a
      slot). --- *)
   busy_since : int Atomic.t;
       (** 0 = idle; else [Clock.now_ns] at the current event's start.
@@ -199,9 +199,6 @@ type t = {
   victims : int list array;  (** per-worker locality victim order *)
   shards : shard array;
   pending : int Atomic.t;  (** queued events *)
-  executed : int Atomic.t;
-  steal_count : int Atomic.t;
-  attempt_count : int Atomic.t;
   max_same_color : int Atomic.t;
   park_mutex : Mutex.t;
   park_cond : Condition.t;  (** idle workers sleep here *)
@@ -215,8 +212,9 @@ type t = {
   shutdown : int Atomic.t;  (** [accepting] / [draining] / [aborted] *)
   serving : bool Atomic.t;  (** workers persist across quiescence *)
   refused : int Atomic.t;  (** registers rejected by the shutdown gate *)
-  error_count : int Atomic.t;  (** handler invocations that raised *)
-  telemetry : Telemetry.t;  (** always-on online stats plane *)
+  telemetry : Telemetry.t;
+      (** always-on stats plane; executed, steal, steal-round and error
+          totals are sums over its shards *)
   trace : Trace.t option;  (** flight recorder; None = zero-cost disabled *)
   lifecycle_lock : Mutex.t;  (** serializes start/stop/run_until_idle *)
   mutable running : bool;
@@ -311,6 +309,7 @@ let create ?workers ?(ws = default_ws) ?(batch_threshold = 10)
     | Some (ctl, _) -> Policy.Controller.threshold ctl
     | None -> worthy_threshold
   in
+  let telemetry = Telemetry.create ~workers:n in
   {
     n;
     ws;
@@ -319,7 +318,7 @@ let create ?workers ?(ws = default_ws) ?(batch_threshold = 10)
     steal_policy = Atomic.make steal_policy;
     controller;
     states =
-      Array.init n (fun _ ->
+      Array.init n (fun w ->
           {
             inbox = Atomic.make [];
             deque = Spmc_queue.create ();
@@ -332,7 +331,7 @@ let create ?workers ?(ws = default_ws) ?(batch_threshold = 10)
             probe_cost = Array.make n 0.0;
             probe_rounds = 0;
             lat_victims = [];
-            metrics = Metrics.create ();
+            tel = Telemetry.shard telemetry w;
             busy_since = Atomic.make 0;
             hb_last = Atomic.make 0;
             q_state = Atomic.make q_normal;
@@ -350,9 +349,6 @@ let create ?workers ?(ws = default_ws) ?(batch_threshold = 10)
       Array.init n_shards (fun _ ->
           { sh_lock = Spinlock.create (); sh_tbl = Hashtbl.create 16 });
     pending = Atomic.make 0;
-    executed = Atomic.make 0;
-    steal_count = Atomic.make 0;
-    attempt_count = Atomic.make 0;
     max_same_color = Atomic.make 0;
     park_mutex = Mutex.create ();
     park_cond = Condition.create ();
@@ -363,8 +359,7 @@ let create ?workers ?(ws = default_ws) ?(batch_threshold = 10)
     shutdown = Atomic.make accepting;
     serving = Atomic.make false;
     refused = Atomic.make 0;
-    error_count = Atomic.make 0;
-    telemetry = Telemetry.create ~workers:n;
+    telemetry;
     trace = Option.map (fun cfg -> Trace.create ~workers:n cfg) trace;
     lifecycle_lock = Mutex.create ();
     running = false;
@@ -539,8 +534,8 @@ let publish t ~self ?home ?(wake = true) event =
     Atomic.incr ws.n_chained;
     inbox_push ws cq
   end;
-  Metrics.on_enqueue ws.metrics;
-  Metrics.note_queue_len ws.metrics (cq_len cq);
+  Atomic.incr ws.tel.enqueued;
+  Telemetry.note_queue_len ws.tel (cq_len cq);
   (* No wakeup when the publisher is the owner and the event joined the
      color it is currently draining: the queue is unstealable (it is
      not in any deque) and this worker will pop it next anyway. In
@@ -757,8 +752,9 @@ let request_abort t =
    forever. The failure is recorded per-worker, the event still counts
    as executed (conservation: every accepted event is consumed exactly
    once), and the [running]/[active]/[pending] accounting is identical
-   on both paths. *)
-let execute t w (cq : color_queue) event =
+   on both paths. [t0] is the worker's pop stamp (also its busy stamp);
+   the end stamp is returned for the heartbeat. *)
+let execute t w (cq : color_queue) event ~t0 =
   let concurrent = 1 + Atomic.fetch_and_add cq.running 1 in
   (* Record the worst concurrency ever observed for the invariant test. *)
   let rec bump () =
@@ -775,14 +771,13 @@ let execute t w (cq : color_queue) event =
           register_internal t ~self:w ~color ~handler run);
     }
   in
-  let t0 = Clock.now_ns () in
   let die_after = ref false in
   (match event.ev_run ctx with
   | () -> ()
   | exception e ->
-    Atomic.incr t.error_count;
-    Metrics.on_error t.states.(w).metrics ~handler:event.ev_handler.name
-      ~exn:(Printexc.to_string e);
+    let s = t.states.(w).tel in
+    s.errors <- s.errors + 1;
+    s.last_error <- Some (event.ev_handler.name, Printexc.to_string e);
     (match t.on_error with
     | Swallow -> ()
     | Stop_runtime -> request_abort t
@@ -813,13 +808,14 @@ let execute t w (cq : color_queue) event =
     Trace.record_exec tr ~worker:w ~handler:event.ev_handler.name
       ~color:event.ev_color ~seq:event.ev_seq ~enq_ns:event.ev_enq ~start_ns:t0
       ~end_ns:t1);
+  (* Counts the event as executed: a plain store, ordered before the
+     caller's [busy_since] clear so [quiesce]/[stop] see it. *)
   Telemetry.on_exec t.telemetry ~worker:w
     ~qwait_ns:(max 0 (Int64.to_int (Int64.sub t0 event.ev_enq)))
     ~service_ns:(max 0 (Int64.to_int (Int64.sub t1 t0)));
   Atomic.decr cq.running;
-  Atomic.incr t.executed;
-  Metrics.on_execute t.states.(w).metrics;
-  if !die_after then raise Worker_killed
+  if !die_after then raise Worker_killed;
+  t1
 
 (* Most-loaded-first victim order for the non-locality mode. The seed
    rebuilt the [List.init]/[List.filter] on every probe round; now the
@@ -987,19 +983,13 @@ let steal_from t w victim =
         Atomic.incr ws.n_chained;
         Spmc_queue.push ws.deque cq)
       extra;
-    ignore (Atomic.fetch_and_add t.steal_count k);
-    for _ = 1 to k do
-      Metrics.on_steal_in ws.metrics;
-      Metrics.on_steal_out vs.metrics
-    done;
-    Metrics.on_batch_extra ws.metrics ~count:(k - 1);
-    Metrics.note_queue_len ws.metrics (cq_len first);
+    Telemetry.note_queue_len ws.tel (cq_len first);
     Telemetry.on_steal t.telemetry ~thief:w ~victim ~count:k;
     (Trace.Won, k)
 
 let try_steal t w =
-  Atomic.incr t.attempt_count;
   let ws = t.states.(w) in
+  ws.tel.steal_rounds <- ws.tel.steal_rounds + 1;
   ws.probe_rounds <- ws.probe_rounds + 1;
   (* One clock read per probe feeds both the Visit span and the
      probe-cost EWMA; skipped entirely when neither consumer is on. *)
@@ -1009,7 +999,7 @@ let try_steal t w =
     | victim :: rest ->
       let t0 = if timing then Clock.now_ns () else 0L in
       let outcome, won_count = steal_from t w victim in
-      Metrics.on_visit ws.metrics;
+      ws.tel.visits <- ws.tel.visits + 1;
       let t1 = if timing then Clock.now_ns () else 0L in
       if t.ws.locality && t.ws.latency then
         probe_cost_update ws victim ~outcome
@@ -1021,7 +1011,7 @@ let try_steal t w =
       (match outcome with Trace.Won -> true | _ -> visit rest)
   in
   let won = visit (victim_order t w) in
-  if not won then Metrics.on_failed_attempt ws.metrics;
+  if not won then ws.tel.failed_rounds <- ws.tel.failed_rounds + 1;
   won
 
 (* Idle policy: exponential backoff while unstealable work is pending
@@ -1075,17 +1065,22 @@ let park t w ws =
        || (Atomic.get t.serving && Atomic.get t.shutdown = accepting))
   do
     if not !slept then begin
+      (* Counted on falling asleep, so a parked worker is visible in
+         snapshots while it is still parked. *)
       slept := true;
-      Metrics.on_park_begin ws.metrics
+      ws.tel.parks <- ws.tel.parks + 1;
+      ws.tel.parked_now <- true
     end;
     Condition.wait t.park_cond t.park_mutex
   done;
   Atomic.decr t.n_parked;
   Mutex.unlock t.park_mutex;
   if !slept then begin
-    Metrics.on_park_end ws.metrics ~seconds:(Clock.elapsed_seconds ~since:t0);
+    let t1 = Clock.now_ns () in
+    ws.tel.parked_now <- false;
+    ws.tel.park_ns <- ws.tel.park_ns + Int64.to_int (Int64.sub t1 t0);
     match t.trace with
-    | Some tr -> Trace.record_park tr ~worker:w ~start_ns:t0 ~end_ns:(Clock.now_ns ())
+    | Some tr -> Trace.record_park tr ~worker:w ~start_ns:t0 ~end_ns:t1
     | None -> ()
   end
 
@@ -1120,12 +1115,14 @@ let worker_loop t w =
         (* The busy stamp is raised before [pending] drops (SC): an
            observer seeing [pending = 0] sees this slot busy, so
            quiescence cannot be declared under a running handler. The
-           stamp doubles as the heartbeat and the wedge age. *)
-        Atomic.set ws.busy_since (max 1 (now_int ()));
+           one pop stamp is the busy stamp, the heartbeat/wedge age and
+           the handler's start; the end stamp is the next heartbeat. *)
+        let t0 = Clock.now_ns () in
+        Atomic.set ws.busy_since (max 1 (Int64.to_int t0));
         Atomic.decr t.pending;
-        execute t w cq event;
+        let t1 = execute t w cq event ~t0 in
         Atomic.set ws.busy_since 0;
-        Atomic.set ws.hb_last (now_int ());
+        Atomic.set ws.hb_last (Int64.to_int t1);
         (* Seeded worker-death site: the chaos drills kill workers
            mid-storm here — after the event's accounting, so
            conservation survives every kill schedule. *)
@@ -1199,8 +1196,7 @@ let on_death t w reason =
     (* Escaped from inside the handler: finish the event's accounting
        the same way the contained-failure path would have. *)
     Atomic.decr cq.running;
-    Atomic.incr t.executed;
-    Metrics.on_execute ws.metrics
+    ws.tel.executed <- ws.tel.executed + 1
   | _ -> ());
   Atomic.set ws.busy_since 0;
   Atomic.set ws.hb_last (now_int ());
@@ -1580,6 +1576,16 @@ let controller_snapshot t =
       s)
     t.controller
 
+(* Totals are sums over the single-writer shards: nothing on the hot
+   path counts them a second time. *)
+let executed t = Telemetry.total t.telemetry (fun s -> s.executed)
+
+let steals t =
+  Telemetry.total t.telemetry (fun s -> Array.fold_left ( + ) 0 s.steals_from)
+
+let steal_attempts t = Telemetry.total t.telemetry (fun s -> s.steal_rounds)
+let errors t = Telemetry.total t.telemetry (fun s -> s.errors)
+
 (* One controller decision from the just-closed telemetry window: merge
    the per-worker window histograms, tick, publish the new operating
    point through the two atomics. Callers must have swapped the window
@@ -1590,25 +1596,27 @@ let apply_controller t =
   | None -> ()
   | Some (ctl, lock) ->
     let merged = ref None in
-    for w = 0 to t.n - 1 do
-      let s = Telemetry.sample t.telemetry ~worker:w in
-      match !merged with
-      | None -> merged := Some (Mstd.Histogram.copy s.Telemetry.qwait_win)
-      | Some into -> Mstd.Histogram.merge ~into s.Telemetry.qwait_win
-    done;
+    let epoch = Telemetry.epoch t.telemetry in
+    Array.iter
+      (fun ws ->
+        let win = Mstd.Histogram.Windowed.window ws.tel.qwait ~epoch in
+        match !merged with
+        | None -> merged := Some win
+        | Some into -> Mstd.Histogram.merge ~into win)
+      t.states;
     let signal =
       match !merged with
       | None ->
         {
           Policy.Controller.sig_qwait_p99_ns = 0.0;
           sig_window_events = 0;
-          sig_steals = Atomic.get t.steal_count;
+          sig_steals = steals t;
         }
       | Some h ->
         {
           Policy.Controller.sig_qwait_p99_ns = Mstd.Histogram.quantile h 0.99;
           sig_window_events = Mstd.Histogram.count h;
-          sig_steals = Atomic.get t.steal_count;
+          sig_steals = steals t;
         }
     in
     Mutex.lock lock;
@@ -1624,13 +1632,9 @@ let tick_controller t =
   Telemetry.swap_window t.telemetry;
   apply_controller t
 
-let executed t = Atomic.get t.executed
-let steals t = Atomic.get t.steal_count
-let steal_attempts t = Atomic.get t.attempt_count
 let max_concurrent_same_color t = Atomic.get t.max_same_color
 let pending t = Atomic.get t.pending
 let refused t = Atomic.get t.refused
-let errors t = Atomic.get t.error_count
 let is_serving t = Atomic.get t.serving
 let abandoned t = Atomic.get t.abandoned
 let worker_restarts t = Atomic.get t.restart_count
@@ -1646,8 +1650,6 @@ let worker_phase t w =
   if w < 0 || w >= t.n then
     invalid_arg "Rt.Runtime.worker_phase: no such worker";
   phase_of_int (Atomic.get t.states.(w).phase)
-
-let stats t = Array.map (fun ws -> Metrics.snapshot ws.metrics) t.states
 
 let trace t = t.trace
 
@@ -1727,18 +1729,18 @@ let debug_check_conservation t =
    [worker]: the trace ring is single-writer per worker domain, so the
    calling domain has to be the one executing that worker's loop. *)
 let note_shed t ~worker ~color =
-  Metrics.on_shed t.states.(worker).metrics;
+  let s = t.states.(worker).tel in
+  s.sheds <- s.sheds + 1;
   match t.trace with
   | Some tr -> Trace.record_shed tr ~worker ~color ~ns:(Clock.now_ns ())
   | None -> ()
 
 let note_evict t ~worker ~color =
-  Metrics.on_evict t.states.(worker).metrics;
+  let s = t.states.(worker).tel in
+  s.evictions <- s.evictions + 1;
   match t.trace with
   | Some tr -> Trace.record_evict tr ~worker ~color ~ns:(Clock.now_ns ())
   | None -> ()
-
-let telemetry t = t.telemetry
 
 (* Assemble the full telemetry-plane snapshot. Safe at any instant:
    every source is either atomic or a single-writer cell whose racy
@@ -1754,22 +1756,40 @@ let telemetry_snapshot ?(swap_window = false) t =
     apply_controller t
   end;
   let snap_now = now_int () in
+  let epoch = Telemetry.epoch t.telemetry in
+  (* One copy of the steal matrix feeds every row and column sum, so
+     steals in/out and [s_steals] agree exactly within a snapshot. *)
+  let rows = Array.map (fun ws -> Array.copy ws.tel.steals_from) t.states in
   let worker w =
     let ws = t.states.(w) in
-    let s = Telemetry.sample t.telemetry ~worker:w in
+    let s = ws.tel in
     let busy = Atomic.get ws.busy_since in
     {
       Telemetry.w_id = w;
-      w_metrics = Metrics.snapshot ws.metrics;
+      w_executed = s.executed;
+      w_enqueued = Atomic.get s.enqueued;
+      w_steals_in = Array.fold_left ( + ) 0 rows.(w);
+      w_steals_out = Array.fold_left (fun acc row -> acc + row.(w)) 0 rows;
+      w_steal_rounds = s.steal_rounds;
+      w_failed_rounds = s.failed_rounds;
+      w_visits = s.visits;
+      w_parks = s.parks;
+      w_park_ns = s.park_ns;
+      w_parked = s.parked_now;
+      w_queue_hwm = Atomic.get s.queue_hwm;
+      w_errors = s.errors;
+      w_last_error = s.last_error;
+      w_sheds = s.sheds;
+      w_evictions = s.evictions;
       w_inbox_depth = Atomic.get ws.n_chained;
       w_current_color = Atomic.get ws.current_color;
-      w_qwait_sum_ns = s.Telemetry.qwait_sum_ns;
-      w_service_sum_ns = s.Telemetry.service_sum_ns;
-      w_qwait = s.Telemetry.qwait;
-      w_service = s.Telemetry.service;
-      w_qwait_win = s.Telemetry.qwait_win;
-      w_service_win = s.Telemetry.service_win;
-      w_steals_from = s.Telemetry.steals_from;
+      w_qwait_sum_ns = s.qwait_sum_ns;
+      w_service_sum_ns = s.service_sum_ns;
+      w_qwait = Mstd.Histogram.Windowed.cumulative s.qwait;
+      w_service = Mstd.Histogram.Windowed.cumulative s.service;
+      w_qwait_win = Mstd.Histogram.Windowed.window s.qwait ~epoch;
+      w_service_win = Mstd.Histogram.Windowed.window s.service ~epoch;
+      w_steals_from = rows.(w);
       w_live = Atomic.get ws.live;
       w_phase = phase_of_int (Atomic.get ws.phase);
       w_hb_age_ns = max 0 (snap_now - Atomic.get ws.hb_last);
@@ -1777,21 +1797,18 @@ let telemetry_snapshot ?(swap_window = false) t =
       w_restarts = Atomic.get ws.slot_restarts;
     }
   in
-  (* Workers before globals, explicitly: a worker's executed counter is
-     bumped after the global one, so reading per-worker first and the
-     global total second guarantees [sum per-worker <= s_executed] in
-     every snapshot — the bracketing the tests and CI assert on. *)
   let s_workers = Array.init t.n worker in
+  let sum f = Array.fold_left (fun acc w -> acc + f w) 0 s_workers in
   {
-    Telemetry.s_epoch = Telemetry.epoch t.telemetry;
+    Telemetry.s_epoch = epoch;
     s_workers;
-    s_executed = Atomic.get t.executed;
+    s_executed = sum (fun w -> w.Telemetry.w_executed);
+    s_steals = sum (fun w -> w.Telemetry.w_steals_in);
+    s_steal_attempts = sum (fun w -> w.Telemetry.w_steal_rounds);
+    s_errors = sum (fun w -> w.Telemetry.w_errors);
     s_pending = Atomic.get t.pending;
     s_active = live_active t;
-    s_steals = Atomic.get t.steal_count;
-    s_steal_attempts = Atomic.get t.attempt_count;
     s_refused = Atomic.get t.refused;
-    s_errors = Atomic.get t.error_count;
     s_serving = Atomic.get t.serving;
     s_accepting = Atomic.get t.shutdown = accepting;
     s_steal_policy = Atomic.get t.steal_policy;

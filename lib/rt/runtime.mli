@@ -32,9 +32,9 @@
     ]}
 
     Handler exceptions never kill a worker by accident: they are
-    contained at the execution boundary, recorded per-worker in
-    {!Metrics} and globally in {!errors}, and handled per the
-    {!failure_policy} given to {!create}.
+    contained at the execution boundary, recorded in the executing
+    worker's {!Telemetry} shard (summed by {!errors}), and handled per
+    the {!failure_policy} given to {!create}.
 
     Worker domains can still die (a deliberate {!Restart_worker}
     policy, an injected fault, a bug past the containment boundary) or
@@ -51,9 +51,9 @@ type t
 type handler
 
 (** What to do when a handler raises. In every case the failure is
-    counted ({!errors}, {!Metrics.snapshot.errors}) with the handler
-    name and exception text, the event still counts as executed, and
-    the runtime's accounting stays intact. *)
+    counted ({!errors}, {!Telemetry.worker_snap.w_errors}) with the
+    handler name and exception text, the event still counts as
+    executed, and the runtime's accounting stays intact. *)
 type failure_policy =
   | Swallow  (** contain the failure; keep serving (default) *)
   | Stop_runtime
@@ -234,7 +234,10 @@ val abandoned : t -> int
 val worker_phase : t -> int -> Supervision.phase
 (** Supervision phase of slot [w]. *)
 
-(** Counters observed after (or during) a run. *)
+(** Counters observed after (or during) a run. Each is a sum over the
+    per-worker {!Telemetry} shards, exact once the workers are
+    synchronized with the caller (after {!quiesce}, {!stop} or
+    {!run_until_idle}). *)
 
 val executed : t -> int
 val steals : t -> int
@@ -270,7 +273,8 @@ val refused : t -> int
 
 val errors : t -> int
 (** Handler invocations that raised, across all workers; per-worker
-    detail (count, last handler name and exception) is in {!stats}. *)
+    detail (count, last handler name and exception) is in
+    {!telemetry_snapshot}. *)
 
 val max_concurrent_same_color : t -> int
 (** Highest number of simultaneously-executing events observed for any
@@ -279,7 +283,7 @@ val max_concurrent_same_color : t -> int
 
 val note_shed : t -> worker:int -> color:int -> unit
 (** Record a 503 load shed decided inside a handler: bumps the
-    executing worker's {!Metrics} shed counter and, when tracing is on,
+    executing worker's shed counter and, when tracing is on,
     leaves a [Shed] span in its ring. Must be called from inside a
     handler currently running on [worker] (the trace rings are
     single-writer per worker domain). *)
@@ -288,22 +292,16 @@ val note_evict : t -> worker:int -> color:int -> unit
 (** Record a deadline eviction (408) carried out inside a handler; same
     calling contract as {!note_shed}. *)
 
-val stats : t -> Metrics.snapshot array
-(** Per-worker counters (executed, enqueued, steals in/out, failed
-    steal rounds, victim visits, parks and park time, queue high-water
-    mark), cumulative across runs; index [w] is worker [w]. *)
-
-val telemetry : t -> Telemetry.t
-(** The always-on stats plane (e.g. to {!Telemetry.swap_window} on a
-    schedule independent of snapshots). *)
-
 val telemetry_snapshot : ?swap_window:bool -> t -> Telemetry.snapshot
-(** Full telemetry-plane snapshot — per-worker metrics, queue-wait and
-    service-time histograms (cumulative + last closed window), steal
-    matrix, inbox-depth / current-color / parked gauges, and global
-    counters — taken at any instant without stopping the workers.
-    Counters are monotone, so two back-to-back snapshots bracket the
-    live values. [swap_window] (default false) rotates the streaming
+(** Full telemetry-plane snapshot — per-worker counters (executed,
+    enqueued, steals in/out, steal rounds, failed rounds, victim
+    visits, parks and park time, queue high-water mark, errors, sheds,
+    evictions; cumulative across runs, index [w] is worker [w]),
+    queue-wait and service-time histograms (cumulative + last closed
+    window), steal matrix, inbox-depth / current-color / parked gauges,
+    and runtime totals (sums of the per-worker rows) — taken at any
+    instant without stopping the workers. Counters are monotone, so two
+    back-to-back snapshots bracket the live values. [swap_window] (default false) rotates the streaming
     windows first: pass it from exactly one periodic scraper so the
     windows mean "since my previous poll". *)
 

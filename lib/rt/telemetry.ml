@@ -1,24 +1,41 @@
-(* Always-on online stats plane.
+(* Always-on online stats plane — the runtime's one place where a fact
+   is counted.
 
-   One shard per worker, written only by the owning worker domain: the
-   hot-path records are plain stores into caches the worker already
-   owns (no RMW, no lock). Readers snapshot at any instant without
-   stopping writers — monotone counters and grow-only histogram buckets
-   make racy reads safe: a reader can under-observe the newest events
-   but never sees a torn or decreasing value.
+   One shard per worker, written only by the owning worker domain
+   (publisher-side [enqueued]/[queue_hwm] aside): the hot-path records
+   are plain stores into caches the worker already owns (no RMW, no
+   lock). Runtime totals are sums over shards, never a second counter.
+   Readers snapshot at any instant without stopping writers — monotone
+   counters and grow-only histogram buckets make racy reads safe: a
+   reader can under-observe the newest events but never sees a torn or
+   decreasing value.
 
    Windowing: a single global epoch counter (bumped by [swap_window])
    selects which of two per-histogram buffers writers record into;
    readers take the last *closed* buffer. See {!Mstd.Histogram.Windowed}. *)
 
 type shard = {
-  qwait : Mstd.Histogram.Windowed.t;  (** queue wait, ns *)
-  service : Mstd.Histogram.Windowed.t;  (** handler service time, ns *)
-  steals_from : int array;  (** row of the worker×victim steal matrix *)
+  qwait : Mstd.Histogram.Windowed.t;
+  service : Mstd.Histogram.Windowed.t;
+  steals_from : int array;
   mutable qwait_sum_ns : int;
   mutable service_sum_ns : int;
-      (** [service_sum_ns] doubles as busy-time: worker utilization over
-          an interval is (delta service_sum_ns) / (wall ns). *)
+  mutable executed : int;
+  mutable steal_rounds : int;
+  mutable failed_rounds : int;
+  mutable visits : int;
+  mutable parks : int;
+  mutable park_ns : int;
+  mutable parked_now : bool;
+  mutable errors : int;
+  mutable last_error : (string * string) option;
+  mutable sheds : int;
+  mutable evictions : int;
+  (* Written by publishers, which may be external injectors with no
+     shard of their own: the only two cross-domain writes, hence the
+     only two atomics. *)
+  enqueued : int Atomic.t;
+  queue_hwm : int Atomic.t;
 }
 
 type t = {
@@ -43,10 +60,24 @@ let create ~workers =
             steals_from = Array.make workers 0;
             qwait_sum_ns = 0;
             service_sum_ns = 0;
+            executed = 0;
+            steal_rounds = 0;
+            failed_rounds = 0;
+            visits = 0;
+            parks = 0;
+            park_ns = 0;
+            parked_now = false;
+            errors = 0;
+            last_error = None;
+            sheds = 0;
+            evictions = 0;
+            enqueued = Atomic.make 0;
+            queue_hwm = Atomic.make 0;
           });
   }
 
-let workers t = Array.length t.shards
+let shard t w = t.shards.(w)
+let total t f = Array.fold_left (fun acc s -> acc + f s) 0 t.shards
 let epoch t = Atomic.get t.epoch
 let swap_window t = Atomic.incr t.epoch
 
@@ -57,37 +88,24 @@ let on_exec t ~worker ~qwait_ns ~service_ns =
   Mstd.Histogram.Windowed.add s.qwait ~epoch (float_of_int qwait_ns);
   Mstd.Histogram.Windowed.add s.service ~epoch (float_of_int service_ns);
   s.qwait_sum_ns <- s.qwait_sum_ns + qwait_ns;
-  s.service_sum_ns <- s.service_sum_ns + service_ns
+  s.service_sum_ns <- s.service_sum_ns + service_ns;
+  s.executed <- s.executed + 1
 
 (* Called by the thief; it writes its own matrix row, so the matrix is
    single-writer per row like everything else in the shard. [count] is
-   the number of color-queues the probe won (> 1 under batch steal). *)
+   the number of color-queues the probe won (> 1 under batch steal).
+   The victim's steals-out is this matrix's column sum, so the thief
+   never writes into the victim's shard. *)
 let on_steal t ~thief ~victim ~count =
   let row = t.shards.(thief).steals_from in
   row.(victim) <- row.(victim) + count
 
-type sample = {
-  qwait : Mstd.Histogram.t;
-  service : Mstd.Histogram.t;
-  qwait_win : Mstd.Histogram.t;
-  service_win : Mstd.Histogram.t;
-  qwait_sum_ns : int;
-  service_sum_ns : int;
-  steals_from : int array;
-}
-
-let sample t ~worker =
-  let s = t.shards.(worker) in
-  let epoch = Atomic.get t.epoch in
-  {
-    qwait = Mstd.Histogram.Windowed.cumulative s.qwait;
-    service = Mstd.Histogram.Windowed.cumulative s.service;
-    qwait_win = Mstd.Histogram.Windowed.window s.qwait ~epoch;
-    service_win = Mstd.Histogram.Windowed.window s.service ~epoch;
-    qwait_sum_ns = s.qwait_sum_ns;
-    service_sum_ns = s.service_sum_ns;
-    steals_from = Array.copy s.steals_from;
-  }
+let note_queue_len s len =
+  let rec bump () =
+    let seen = Atomic.get s.queue_hwm in
+    if len > seen && not (Atomic.compare_and_set s.queue_hwm seen len) then bump ()
+  in
+  bump ()
 
 (* Full-plane snapshot assembled by {!Runtime.telemetry_snapshot}: the
    runtime owns the worker states and global counters, so it fills
@@ -96,7 +114,21 @@ let sample t ~worker =
 
 type worker_snap = {
   w_id : int;
-  w_metrics : Metrics.snapshot;
+  w_executed : int;
+  w_enqueued : int;
+  w_steals_in : int;
+  w_steals_out : int;
+  w_steal_rounds : int;
+  w_failed_rounds : int;
+  w_visits : int;
+  w_parks : int;
+  w_park_ns : int;
+  w_parked : bool;
+  w_queue_hwm : int;
+  w_errors : int;
+  w_last_error : (string * string) option;
+  w_sheds : int;
+  w_evictions : int;
   w_inbox_depth : int;  (** colors currently chained to this worker *)
   w_current_color : int;  (** color being drained; -1 = idle *)
   w_qwait_sum_ns : int;

@@ -105,31 +105,31 @@ let metrics_text (rt : Rt.Telemetry.snapshot) (net : net) =
   Array.iter
     (fun (w : Rt.Telemetry.worker_snap) ->
       let labels = [ ("worker", ilbl w.w_id) ] in
-      let m = w.w_metrics in
       counter ~name:"mely_worker_executed_total" ~help:"Events executed by worker"
-        ~labels m.executed;
+        ~labels w.w_executed;
       counter ~name:"mely_worker_enqueued_total"
-        ~help:"Events enqueued onto worker's queues" ~labels m.enqueued;
+        ~help:"Events enqueued onto worker's queues" ~labels w.w_enqueued;
       counter ~name:"mely_worker_steals_in_total" ~help:"Color-queues worker stole"
-        ~labels m.steals_in;
+        ~labels w.w_steals_in;
       counter ~name:"mely_worker_steals_out_total"
-        ~help:"Color-queues stolen from worker" ~labels m.steals_out;
+        ~help:"Color-queues stolen from worker" ~labels w.w_steals_out;
       counter ~name:"mely_worker_failed_steal_rounds_total"
-        ~help:"Steal rounds that found no victim" ~labels m.failed_attempts;
+        ~help:"Steal rounds that found no victim" ~labels w.w_failed_rounds;
       counter ~name:"mely_worker_victim_visits_total"
-        ~help:"Victims probed across steal rounds" ~labels m.visits;
+        ~help:"Victims probed across steal rounds" ~labels w.w_visits;
       counter ~name:"mely_worker_parks_total" ~help:"Times worker parked idle"
-        ~labels m.parks;
+        ~labels w.w_parks;
       counter ~name:"mely_worker_errors_total" ~help:"Handler failures on worker"
-        ~labels m.errors;
+        ~labels w.w_errors;
       counter ~name:"mely_worker_sheds_total" ~help:"503 load sheds by worker"
-        ~labels m.sheds;
+        ~labels w.w_sheds;
       counter ~name:"mely_worker_evictions_total"
-        ~help:"Deadline evictions carried out by worker" ~labels m.evictions;
+        ~help:"Deadline evictions carried out by worker" ~labels w.w_evictions;
       gauge ~name:"mely_worker_park_seconds_total"
-        ~help:"Wall-clock seconds spent parked" ~labels m.park_seconds;
+        ~help:"Wall-clock seconds spent parked" ~labels
+        (float_of_int w.w_park_ns /. 1e9);
       gauge ~name:"mely_worker_parked" ~help:"1 while parked on the idle condition"
-        ~labels (if m.parked_now then 1.0 else 0.0);
+        ~labels (if w.w_parked then 1.0 else 0.0);
       gauge ~name:"mely_worker_inbox_depth"
         ~help:"Colors currently chained to worker" ~labels
         (float_of_int w.w_inbox_depth);
@@ -245,23 +245,22 @@ let hist_json ?sum_ns h =
 
 let worker_json (w : Rt.Telemetry.worker_snap) =
   let open Mstd.Json in
-  let m = w.w_metrics in
   Obj
     [
       ("id", int w.w_id);
-      ("executed", int m.executed);
-      ("enqueued", int m.enqueued);
-      ("steals_in", int m.steals_in);
-      ("steals_out", int m.steals_out);
-      ("failed_steal_rounds", int m.failed_attempts);
-      ("victim_visits", int m.visits);
-      ("parks", int m.parks);
-      ("park_seconds", Num m.park_seconds);
-      ("parked", Bool m.parked_now);
-      ("queue_hwm", int m.queue_hwm);
-      ("errors", int m.errors);
-      ("sheds", int m.sheds);
-      ("evictions", int m.evictions);
+      ("executed", int w.w_executed);
+      ("enqueued", int w.w_enqueued);
+      ("steals_in", int w.w_steals_in);
+      ("steals_out", int w.w_steals_out);
+      ("failed_steal_rounds", int w.w_failed_rounds);
+      ("victim_visits", int w.w_visits);
+      ("parks", int w.w_parks);
+      ("park_seconds", Num (float_of_int w.w_park_ns /. 1e9));
+      ("parked", Bool w.w_parked);
+      ("queue_hwm", int w.w_queue_hwm);
+      ("errors", int w.w_errors);
+      ("sheds", int w.w_sheds);
+      ("evictions", int w.w_evictions);
       ("inbox_depth", int w.w_inbox_depth);
       ("current_color", int w.w_current_color);
       ("busy_ns", int w.w_service_sum_ns);

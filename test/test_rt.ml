@@ -169,22 +169,22 @@ let test_stats_accounting () =
         ignore !acc)
   done;
   Rt.Runtime.run_until_idle rt;
-  let stats = Rt.Runtime.stats rt in
-  Alcotest.(check int) "one snapshot per worker" 3 (Array.length stats);
-  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 stats in
+  let workers = (Rt.Runtime.telemetry_snapshot rt).s_workers in
+  Alcotest.(check int) "one snapshot per worker" 3 (Array.length workers);
+  let sum f = Array.fold_left (fun acc w -> acc + f w) 0 workers in
   Alcotest.(check int) "executed ties out" n
-    (sum (fun (s : Rt.Metrics.snapshot) -> s.executed));
+    (sum (fun (w : Rt.Telemetry.worker_snap) -> w.w_executed));
   Alcotest.(check int) "enqueued ties out" n
-    (sum (fun (s : Rt.Metrics.snapshot) -> s.enqueued));
+    (sum (fun (w : Rt.Telemetry.worker_snap) -> w.w_enqueued));
   Alcotest.(check int) "steals in tie out" (Rt.Runtime.steals rt)
-    (sum (fun (s : Rt.Metrics.snapshot) -> s.steals_in));
+    (sum (fun (w : Rt.Telemetry.worker_snap) -> w.w_steals_in));
   Alcotest.(check int) "steals out tie out" (Rt.Runtime.steals rt)
-    (sum (fun (s : Rt.Metrics.snapshot) -> s.steals_out));
+    (sum (fun (w : Rt.Telemetry.worker_snap) -> w.w_steals_out));
   Array.iter
-    (fun (s : Rt.Metrics.snapshot) ->
-      Alcotest.(check bool) "park time non-negative" true (s.park_seconds >= 0.0);
-      Alcotest.(check bool) "hwm sane" true (s.queue_hwm >= 0 && s.queue_hwm <= n))
-    stats
+    (fun (w : Rt.Telemetry.worker_snap) ->
+      Alcotest.(check bool) "park time non-negative" true (w.w_park_ns >= 0);
+      Alcotest.(check bool) "hwm sane" true (w.w_queue_hwm >= 0 && w.w_queue_hwm <= n))
+    workers
 
 let test_spinlock () =
   let lock = Rt.Spinlock.create () in

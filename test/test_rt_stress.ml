@@ -109,21 +109,20 @@ let test_steal_enqueue_ownership ?policy ?(runs = 60) () =
       (Atomic.get violations);
     Alcotest.(check int) (Printf.sprintf "run %d: runtime serial" run) 1
       (Rt.Runtime.max_concurrent_same_color rt);
-    (* Cross-check the metrics layer against the global counters. *)
-    let stats = Rt.Runtime.stats rt in
-    let sum f = Array.fold_left (fun acc s -> acc + f s) 0 stats in
+    (* Cross-check the per-worker rows against the global counters. *)
+    let sum = Rt_test_util.sum_workers rt in
     Alcotest.(check int)
       (Printf.sprintf "run %d: stats executed" run)
       expected
-      (sum (fun (s : Rt.Metrics.snapshot) -> s.executed));
+      (sum (fun (w : Rt.Telemetry.worker_snap) -> w.w_executed));
     Alcotest.(check int)
       (Printf.sprintf "run %d: steals in = steals" run)
       (Rt.Runtime.steals rt)
-      (sum (fun (s : Rt.Metrics.snapshot) -> s.steals_in));
+      (sum (fun (w : Rt.Telemetry.worker_snap) -> w.w_steals_in));
     Alcotest.(check int)
       (Printf.sprintf "run %d: steals out = steals" run)
       (Rt.Runtime.steals rt)
-      (sum (fun (s : Rt.Metrics.snapshot) -> s.steals_out));
+      (sum (fun (w : Rt.Telemetry.worker_snap) -> w.w_steals_out));
     total_steals := !total_steals + Rt.Runtime.steals rt;
     certify_trace ~msg:(Printf.sprintf "ownership run %d" run) rt
   done;
@@ -213,9 +212,7 @@ let test_parking_on_serial_chain () =
   let count = Atomic.make 0 in
   let parked_seen = Atomic.make false in
   let sum_parks () =
-    Array.fold_left
-      (fun acc (s : Rt.Metrics.snapshot) -> acc + s.parks)
-      0 (Rt.Runtime.stats rt)
+    Rt_test_util.sum_workers rt (fun (w : Rt.Telemetry.worker_snap) -> w.w_parks)
   in
   let rec chain depth (ctx : Rt.Runtime.ctx) =
     Atomic.incr count;
@@ -237,12 +234,10 @@ let test_parking_on_serial_chain () =
   Alcotest.(check int) "chain complete" 42 (Atomic.get count);
   Alcotest.(check bool) "idle workers parked" true (Atomic.get parked_seen);
   Alcotest.(check int) "serial" 1 (Rt.Runtime.max_concurrent_same_color rt);
-  let park_seconds =
-    Array.fold_left
-      (fun acc (s : Rt.Metrics.snapshot) -> acc +. s.park_seconds)
-      0.0 (Rt.Runtime.stats rt)
+  let park_ns =
+    Rt_test_util.sum_workers rt (fun (w : Rt.Telemetry.worker_snap) -> w.w_park_ns)
   in
-  Alcotest.(check bool) "park time recorded" true (park_seconds >= 0.0)
+  Alcotest.(check bool) "park time recorded" true (park_ns >= 0)
 
 (* ------------------------------------------------------------------ *)
 (* Serving lifecycle and fault containment.                           *)
@@ -276,16 +271,18 @@ let test_raising_handlers_terminate () =
   Alcotest.(check int) "failed events still consumed" (n_bad + n_good)
     (Rt.Runtime.executed rt);
   Alcotest.(check int) "nothing left pending" 0 (Rt.Runtime.pending rt);
-  let stats = Rt.Runtime.stats rt in
+  let workers = (Rt.Runtime.telemetry_snapshot rt).s_workers in
   let sum_errors =
-    Array.fold_left (fun acc (s : Rt.Metrics.snapshot) -> acc + s.errors) 0 stats
+    Array.fold_left
+      (fun acc (w : Rt.Telemetry.worker_snap) -> acc + w.w_errors)
+      0 workers
   in
   Alcotest.(check int) "stats errors tie out" n_bad sum_errors;
   let reported =
     Array.exists
-      (fun (s : Rt.Metrics.snapshot) ->
-        match s.last_error with Some ("bad", _) -> true | _ -> false)
-      stats
+      (fun (w : Rt.Telemetry.worker_snap) ->
+        match w.w_last_error with Some ("bad", _) -> true | _ -> false)
+      workers
   in
   Alcotest.(check bool) "failing handler named in stats" true reported
 
@@ -341,15 +338,7 @@ let test_swallow_keeps_serving () =
    seed raised it after publication, so a fast consumer drove it to -1
    and siblings declared quiescence mid-enqueue). *)
 let test_external_injection () =
-  let min_pending = Atomic.make 0 in
-  let note_pending rt =
-    let p = Rt.Runtime.pending rt in
-    let rec floor_ () =
-      let seen = Atomic.get min_pending in
-      if p < seen && not (Atomic.compare_and_set min_pending seen p) then floor_ ()
-    in
-    floor_ ()
-  in
+  let min_pending = Rt_test_util.make_floor () in
   for run = 1 to 50 do
     let workers = 2 + (run mod 3) in
     let rt = Rt.Runtime.create ~workers () in
@@ -368,7 +357,7 @@ let test_external_injection () =
                       busywork 1_000;
                       Atomic.incr ran)
                 then incr accepted;
-                note_pending rt
+                Rt_test_util.note_floor min_pending (Rt.Runtime.pending rt)
               done;
               !accepted))
     in
@@ -396,6 +385,7 @@ let test_stop_while_loaded () =
     let rt = Rt.Runtime.create ~workers () in
     let h = Rt.Runtime.handler rt ~name:"load" ~declared_cycles:50_000 () in
     let ran = Atomic.make 0 and follow_ups = Atomic.make 0 in
+    let min_pending = Rt_test_util.make_floor () in
     Rt.Runtime.start rt;
     let feeders =
       List.init 3 (fun j ->
@@ -413,10 +403,7 @@ let test_stop_while_loaded () =
                         ctx.register ~color ~handler:h (fun _ ->
                             Atomic.incr follow_ups))
                 then incr accepted;
-                Alcotest.(check bool)
-                  (Printf.sprintf "run %d: pending non-negative" run)
-                  true
-                  (Rt.Runtime.pending rt >= 0)
+                Rt_test_util.note_floor min_pending (Rt.Runtime.pending rt)
               done;
               !accepted))
     in
@@ -424,6 +411,10 @@ let test_stop_while_loaded () =
     busywork 200_000;
     Rt.Runtime.stop rt;
     let accepted = List.fold_left (fun acc d -> acc + Domain.join d) 0 feeders in
+    Alcotest.(check bool)
+      (Printf.sprintf "run %d: pending non-negative" run)
+      true
+      (Atomic.get min_pending >= 0);
     let attempts = 3 * 200 in
     Alcotest.(check int)
       (Printf.sprintf "run %d: attempts = accepted + refused" run)
@@ -453,13 +444,15 @@ let test_conservation_under_storm () =
     let workers = 2 + (run mod 3) in
     let rt = Rt.Runtime.create ~workers ~worthy_threshold:0 () in
     let h = Rt.Runtime.handler rt ~name:"conserve" ~declared_cycles:50_000 () in
-    let check where =
-      match Rt.Runtime.debug_check_conservation rt with
-      | None -> ()
-      | Some msg -> Alcotest.failf "run %d (%s): %s" run where msg
+    let audit where =
+      Option.map
+        (Printf.sprintf "run %d (%s): %s" run where)
+        (Rt.Runtime.debug_check_conservation rt)
     in
+    let check where = Option.iter Alcotest.fail (audit where) in
     Rt.Runtime.start rt;
     for wave = 1 to 4 do
+      let mid_flight = Rt_test_util.make_first_failure () in
       let feeders =
         List.init 3 (fun j ->
             Domain.spawn (fun () ->
@@ -472,11 +465,15 @@ let test_conservation_under_storm () =
                            ctx.register ~color:(color + 24) ~handler:h (fun _ ->
                                busywork 200)));
                   (* Mid-flight audit while publishers, thieves and
-                     owners all churn. *)
-                  if i mod 25 = 0 then check "mid-flight"
+                     owners all churn; judged on the main domain. *)
+                  if i mod 25 = 0 then
+                    Option.iter
+                      (Rt_test_util.note_failure mid_flight)
+                      (audit "mid-flight")
                 done))
       in
       List.iter Domain.join feeders;
+      Rt_test_util.check_no_failure mid_flight;
       Rt.Runtime.quiesce rt;
       check (Printf.sprintf "wave %d quiesced" wave)
     done;
@@ -517,9 +514,7 @@ let test_park_wake_storm () =
       !sent (Atomic.get ran);
     (* The herd fix must not have broken park accounting. *)
     let parks =
-      Array.fold_left
-        (fun acc (s : Rt.Metrics.snapshot) -> acc + s.parks)
-        0 (Rt.Runtime.stats rt)
+      Rt_test_util.sum_workers rt (fun (w : Rt.Telemetry.worker_snap) -> w.w_parks)
     in
     Alcotest.(check bool) (Printf.sprintf "run %d: workers parked" run) true
       (parks > 0)

@@ -1,7 +1,8 @@
 (* The live telemetry plane (lib/rt/telemetry.ml): snapshots taken
    under a concurrent register/execute storm must be internally
    consistent without ever stopping the writers — monotone counters,
-   histogram totals that close against Rt.Metrics once quiescent, and
+   per-worker rows and histogram totals that close against the runtime
+   totals once quiescent, derived totals that equal their sources, and
    bracketing (two back-to-back snapshots pin every live value between
    them, i.e. no torn reads). *)
 
@@ -37,7 +38,7 @@ let with_storm ?(workers = 4) ?(injectors = 3) ?(per_injector = 2_000) observe =
   (Atomic.get injected, rt, result)
 
 let snap_exec_per_worker (s : Rt.Telemetry.snapshot) =
-  Array.map (fun (w : Rt.Telemetry.worker_snap) -> w.w_metrics.executed) s.s_workers
+  Array.map (fun (w : Rt.Telemetry.worker_snap) -> w.w_executed) s.s_workers
 
 (* Counters may only grow between two snapshots taken while the storm
    rages; the second snapshot must also bracket whatever the first saw
@@ -58,7 +59,7 @@ let test_snapshot_monotone_under_storm () =
             (fun i (w : Rt.Telemetry.worker_snap) ->
               let pw = p.s_workers.(i) in
               Alcotest.(check bool) "worker executed monotone" true
-                (w.w_metrics.executed >= pw.w_metrics.executed);
+                (w.w_executed >= pw.w_executed);
               Alcotest.(check bool) "qwait count monotone" true
                 (Mstd.Histogram.count w.w_qwait
                 >= Mstd.Histogram.count pw.w_qwait);
@@ -104,8 +105,11 @@ let test_back_to_back_snapshots_bracket () =
   ()
 
 (* Once quiescent the books close exactly: the sum of per-worker
-   executed equals the runtime total, and both histogram families hold
-   exactly one observation per executed event. *)
+   executed equals the runtime total, both histogram families hold
+   exactly one observation per executed event, and every derived total
+   equals what it is derived from — steals in/out are the steal
+   matrix's row/column sums, the runtime's steal, steal-round and error
+   totals are sums of the per-worker rows. *)
 let test_quiescent_totals_close () =
   let injected, rt, () = with_storm (fun _ -> ()) in
   let s = Rt.Runtime.telemetry_snapshot rt in
@@ -128,20 +132,36 @@ let test_quiescent_totals_close () =
   Alcotest.(check int) "qwait histogram total = executed" s.s_executed qwait_total;
   Alcotest.(check int) "service histogram total = executed" s.s_executed
     service_total;
-  (* Metrics agree with telemetry, worker by worker. *)
-  Array.iteri
-    (fun i (m : Rt.Metrics.snapshot) ->
-      Alcotest.(check int) "metrics = telemetry per worker" m.executed
-        (s.s_workers.(i).w_metrics.executed))
-    (Rt.Runtime.stats rt);
-  (* The steal matrix row sums close against the steal counters. *)
-  let matrix_total =
-    Array.fold_left
-      (fun acc (w : Rt.Telemetry.worker_snap) ->
-        acc + Array.fold_left ( + ) 0 w.w_steals_from)
-      0 s.s_workers
+  (* The runtime accessors read the same shards as the snapshot. *)
+  Alcotest.(check int) "accessor executed = snapshot" s.s_executed
+    (Rt.Runtime.executed rt);
+  Alcotest.(check int) "accessor steals = snapshot" s.s_steals
+    (Rt.Runtime.steals rt);
+  Alcotest.(check int) "accessor steal rounds = snapshot" s.s_steal_attempts
+    (Rt.Runtime.steal_attempts rt);
+  Alcotest.(check int) "accessor errors = snapshot" s.s_errors
+    (Rt.Runtime.errors rt);
+  let sum f = Array.fold_left (fun acc w -> acc + f w) 0 s.s_workers in
+  let matrix =
+    Array.map (fun (w : Rt.Telemetry.worker_snap) -> w.w_steals_from) s.s_workers
   in
-  Alcotest.(check int) "steal matrix total = steals" s.s_steals matrix_total
+  let row_sums = Array.map (Array.fold_left ( + ) 0) matrix in
+  let col_sum v = Array.fold_left (fun acc row -> acc + row.(v)) 0 matrix in
+  Alcotest.(check int) "sum of row sums = steals" s.s_steals
+    (Array.fold_left ( + ) 0 row_sums);
+  Alcotest.(check int) "sum of column sums = steals" s.s_steals
+    (sum (fun (w : Rt.Telemetry.worker_snap) -> col_sum w.w_id));
+  Array.iter
+    (fun (w : Rt.Telemetry.worker_snap) ->
+      Alcotest.(check int) "steals in = matrix row" row_sums.(w.w_id) w.w_steals_in;
+      Alcotest.(check int) "steals out = matrix column" (col_sum w.w_id)
+        w.w_steals_out)
+    s.s_workers;
+  Alcotest.(check int) "errors = sum of per-worker errors" s.s_errors
+    (sum (fun (w : Rt.Telemetry.worker_snap) -> w.w_errors));
+  Alcotest.(check int) "steal attempts = sum of per-worker rounds"
+    s.s_steal_attempts
+    (sum (fun (w : Rt.Telemetry.worker_snap) -> w.w_steal_rounds))
 
 (* The epoch-swapped window: observations land in the current window,
    a swap rotates them out for readers, and the cumulative histogram
@@ -194,7 +214,7 @@ let suite =
       test_snapshot_monotone_under_storm;
     Alcotest.test_case "back-to-back snapshots bracket live counters" `Quick
       test_back_to_back_snapshots_bracket;
-    Alcotest.test_case "quiescent totals close against Rt.Metrics" `Quick
+    Alcotest.test_case "quiescent totals close against Rt.Runtime totals" `Quick
       test_quiescent_totals_close;
     Alcotest.test_case "streaming window rotates on epoch swap" `Quick
       test_window_epoch_swap;

@@ -183,9 +183,9 @@ let test_visit_accounting () =
   done;
   Rt.Runtime.run_until_idle rt;
   let tr = trace_of rt in
-  let stats = Rt.Runtime.stats rt in
-  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 stats in
-  let visits = sum (fun (s : Rt.Metrics.snapshot) -> s.visits) in
+  let visits =
+    Rt_test_util.sum_workers rt (fun (w : Rt.Telemetry.worker_snap) -> w.w_visits)
+  in
   let traced_visits = ref 0 and traced_won = ref 0 in
   for w = 0 to 2 do
     List.iter

@@ -200,9 +200,7 @@ let test_shed_503 () =
       Alcotest.(check int) "conservation" s.reqs_parsed
         (s.reqs_served + s.reqs_failed + s.reqs_shed);
       let sheds =
-        Array.fold_left
-          (fun a (m : Rt.Metrics.snapshot) -> a + m.sheds)
-          0 (Rt.Runtime.stats rt)
+        Rt_test_util.sum_workers rt (fun (w : Rt.Telemetry.worker_snap) -> w.w_sheds)
       in
       Alcotest.(check int) "metrics counted the shed" 1 sheds)
 
@@ -257,9 +255,8 @@ let test_slow_loris_408 () =
       Alcotest.(check bool) "eviction counted" true (s.conns_evicted >= 1);
       Alcotest.(check int) "accepted = closed" s.conns_accepted s.conns_closed;
       let evictions =
-        Array.fold_left
-          (fun a (m : Rt.Metrics.snapshot) -> a + m.evictions)
-          0 (Rt.Runtime.stats rt)
+        Rt_test_util.sum_workers rt (fun (w : Rt.Telemetry.worker_snap) ->
+            w.w_evictions)
       in
       Alcotest.(check bool) "metrics counted the eviction" true (evictions >= 1))
 
